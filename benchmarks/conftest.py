@@ -1,8 +1,12 @@
 """Shared benchmark helpers.
 
-Every benchmark regenerates one of the paper's claims (DESIGN.md §4) and
+Every benchmark regenerates one of the paper's claims (the E1-E12 and
+F1-F5 experiments registered in :mod:`repro.experiments`; PAPER.md has
+the paper's abstract and README.md the reproduction overview) and
 prints the paper-style table (visible with ``pytest -s`` or in the
-captured output block of a failure).  Parameters are laptop-scale; the
+captured output block of a failure).  Run them all with
+``python -m pytest benchmarks -o python_files='bench_*.py'
+--benchmark-disable``.  Parameters are laptop-scale; the
 experiment modules accept larger sweeps for a fuller run.
 """
 

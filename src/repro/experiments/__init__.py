@@ -1,4 +1,9 @@
-"""Experiment suite: one module per claim family; see DESIGN.md §4."""
+"""Experiment suite: one module per claim family of the paper (PAPER.md).
+
+``ALL_EXPERIMENTS`` maps each claim id (E1-E12) to its runner and
+``all_figures`` regenerates the figures (F1-F5); ``benchmarks/bench_*.py``
+gates each one.
+"""
 
 from repro.experiments.harness import SweepRow, rows_to_table, run_sweep
 from repro.experiments.exp_leveled import run_e1, run_e4

@@ -13,7 +13,8 @@ hashable node keys and a per-hop ``next_hop`` callback:
   :meth:`repro.topology.compiled.CompiledMesh2D.three_stage`);
   variable-length trajectories may be passed as one padded rectangular
   matrix plus ``path_lengths`` (the pad repeats the destination), which
-  keeps the link interning a single vectorized ``np.unique``;
+  keeps the link interning a single vectorized ``np.unique``; ragged
+  path lists are padded the same way before dispatch;
 * every directed link a packet will ever cross is interned up front to a
   dense link index, and each packet's remaining itinerary becomes one C
   iterator over those indices — the hot loop never hashes a node pair or
@@ -47,9 +48,8 @@ The engine picks one of three execution modes per run (recorded in
   the active links into a provably-unconstrained majority (resolved
   vectorized) and a small contended residue replayed in exact
   reference order — see :meth:`FastPathEngine._run_batch`;
-* ``"event"`` — the per-event compiled loop, kept for dynamic
-  injection (``on_arrival``), ``node_service_rate``, and ragged
-  (non-rectangular) trajectory lists.
+* ``"event"`` — the per-event compiled loop, kept only for dynamic
+  injection (``on_arrival``) and ``node_service_rate``.
 
 Because routers pre-draw all randomness (coin matrices, intermediate
 nodes/rows) *before* choosing an engine, the fast and reference engines
@@ -111,6 +111,23 @@ def resolve_engine_mode(mode: str) -> str:
     raise ValueError(
         f"unrecognized {ENGINE_ENV_VAR}={env!r}; use 'fast' or 'reference'"
     )
+
+
+def _pad_rows(rows, width: int, *, fill: int | None = None) -> np.ndarray:
+    """Stack ragged integer rows into a ``(len(rows), width)`` matrix.
+
+    Each row is extended with *fill*, or with its own last entry when
+    *fill* is None — the destination-repeating pad that the batch modes
+    never traverse past ``path_lengths``.
+    """
+    if all(len(row) == width for row in rows):
+        return np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
+    out = np.empty((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        k = len(row)
+        out[i, :k] = row
+        out[i, k:] = row[-1] if fill is None else fill
+    return out
 
 
 class FastPathEngine:
@@ -262,20 +279,20 @@ class FastPathEngine:
             )
 
         all_packets: list[Packet] = list(packets)
-        rectangular = False
         path_arr: np.ndarray | None = None
         if isinstance(paths, np.ndarray):
             if paths.ndim != 2:
                 raise ValueError("ndarray paths must be 2-D (packets x positions)")
             path_arr = paths
             path_list: list[list[int]] = []
-            rectangular = paths.shape[1] > 0
             n = paths.shape[0]
+            if n and paths.shape[1] == 0:
+                raise ValueError("every path needs at least its start node")
         else:
             path_list = [list(p) for p in paths]
-            widths = {len(p) for p in path_list}
-            rectangular = len(widths) == 1 and widths != {0}
             n = len(path_list)
+            if not all(path_list):
+                raise ValueError("every path needs at least its start node")
         if len(all_packets) != n:
             raise ValueError("one path per packet required")
         if path_lengths is None:
@@ -300,27 +317,28 @@ class FastPathEngine:
                     )
 
         # ---- fully vectorized batch modes -------------------------------
-        # The hook-free rectangular case (permutation / many-one /
-        # CRCW-combining routing on any compiled topology, under FIFO or
-        # furthest-first arbitration) steps whole transmission and
-        # arrival phases as numpy array operations; per-link priority
-        # heaps become class-indexed FIFO chains and combining becomes
-        # gathers over interned (link, combine-group) codes, so both
-        # vectorize too.  ``node_capacity`` runs (flow_control "none" or
-        # "credit") take the vectorized *constrained* variant of the same
-        # loop (batch credit accounting).  Everything else — dynamic
-        # injection, service rates, ragged paths — falls through to the
+        # Every hook-free run (permutation / many-one / CRCW-combining
+        # routing on any compiled topology, under FIFO or furthest-first
+        # arbitration) steps whole transmission and arrival phases as
+        # numpy array operations; per-link priority heaps become
+        # class-indexed FIFO chains and combining becomes gathers over
+        # interned (link, combine-group) codes, so both vectorize too.
+        # Ragged path lists are padded into one matrix first (each row
+        # repeats its last node, which the engine never traverses past
+        # ``path_lengths``).  ``node_capacity`` runs (flow_control "none"
+        # or "credit") take the vectorized *constrained* variant of the
+        # same loop (batch credit accounting).  Only dynamic injection
+        # (``on_arrival``) and service rates fall through to the
         # per-event loop below.
         if spawn_plan is not None and capacity is not None:
             raise ValueError("spawn_plan is not supported with node_capacity")
-        if (
-            rectangular
-            and n
-            and on_arrival is None
-            and service_rate is None
-        ):
+        if n and on_arrival is None and service_rate is None:
             if path_arr is None:
-                path_arr = np.asarray(path_list, dtype=np.int64)
+                path_arr = _pad_rows(path_list, max(map(len, path_list)))
+            if priorities is not None and not isinstance(priorities, np.ndarray):
+                priorities = _pad_rows(
+                    priorities, path_arr.shape[1] - 1, fill=0
+                )
             try:
                 return self._run_batch(
                     all_packets,
@@ -344,8 +362,8 @@ class FastPathEngine:
                     )
         if spawn_plan is not None:
             raise ValueError(
-                "spawn_plan requires the vectorized batch mode (rectangular "
-                "paths, no on_arrival/capacity/service-rate)"
+                "spawn_plan requires the vectorized batch mode (no "
+                "on_arrival/service-rate)"
             )
         self.last_run_mode = "event"
         if path_arr is not None:
@@ -375,7 +393,7 @@ class FastPathEngine:
         link_src: list[int] = []
         link_dst: list[int] = []
         link_rows: list[list[int]] = []
-        if rectangular and n:
+        if n and len({len(p) for p in path_list}) == 1:
             # Rectangular trajectory matrix: one np.unique interns all
             # links at C speed (the common case for compiled routes).
             # Padded rows contribute dest->dest self-loop codes; those

@@ -99,11 +99,20 @@ def resolve_flow_control(
 ) -> str:
     """Validate a flow-control request against the engine configuration.
 
-    ``"credit"`` needs ``node_capacity`` (credits are buffer slots — an
-    unbounded node has nothing to grant) and is not defined together
-    with ``node_service_rate`` (the serialized-departure model has its
-    own arbitration; no shipped configuration combines them).
+    ``node_capacity`` and ``node_service_rate``, when set, must be at
+    least 1: a node that can hold or forward nothing is rejected here,
+    at construction, rather than surfacing later as a spurious
+    deadlock.  ``"credit"`` needs ``node_capacity`` (credits are buffer
+    slots — an unbounded node has nothing to grant) and is not defined
+    together with ``node_service_rate`` (the serialized-departure model
+    has its own arbitration; no shipped configuration combines them).
     """
+    for name, value in (
+        ("node_capacity", node_capacity),
+        ("node_service_rate", node_service_rate),
+    ):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1 (or None), got {value}")
     if mode not in FLOW_CONTROL_MODES:
         raise ValueError(
             f"unknown flow_control mode {mode!r}; pick one of {FLOW_CONTROL_MODES}"

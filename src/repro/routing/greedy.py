@@ -6,9 +6,10 @@ algorithms whose worst case motivates Valiant randomization (§2.2.1).
 
 Because the itinerary is a pure function of (source, dest), the whole
 population's paths can be precompiled and replayed on the fast engine
-(``engine="auto" | "fast" | "reference"``): meshes, linear arrays, and
-hypercubes get fully vectorized builders, any other topology walks
-``route_next`` once per packet up front.  ``node_capacity`` backpressure
+(``engine="auto" | "fast" | "reference"``): meshes, linear arrays,
+hypercubes and star graphs get fully vectorized builders, any other
+topology walks ``route_next`` once per packet up front; either way the
+plan runs on the vectorized batch modes.  ``node_capacity`` backpressure
 is honoured by both engines, and ``flow_control="credit"`` enables the
 deadlock-free credit/escape protocol — sound for dimension-ordered
 routes (mesh, linear array, hypercube), whose link ranks are monotone
@@ -26,9 +27,15 @@ from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet, make_packets
 from repro.routing.queues import fifo_factory
 from repro.topology.base import Topology
-from repro.topology.compiled import compile_mesh, hypercube_paths, linear_paths
+from repro.topology.compiled import (
+    compile_mesh,
+    hypercube_paths,
+    linear_paths,
+    star_paths,
+)
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import LinearArray, Mesh2D
+from repro.topology.star import StarGraph
 
 
 class GreedyRouter:
@@ -48,8 +55,8 @@ class GreedyRouter:
     engine:
         ``"auto"`` (default), ``"fast"``, or ``"reference"``.  The fast
         path runs vectorized batch (constrained batch under
-        ``node_capacity``) on mesh/linear/hypercube topologies and the
-        per-event compiled loop on ragged ``route_next`` walks.
+        ``node_capacity``) on every topology; ragged ``route_next``
+        walks are padded onto the batch engine.
     """
 
     def __init__(
@@ -96,10 +103,10 @@ class GreedyRouter:
     def _run_fast(self, packets: list[Packet], max_steps: int) -> RoutingStats:
         """Precompile greedy itineraries; replay them on the fast engine.
 
-        Mesh / linear-array / hypercube paths come out of the vectorized
-        builders in :mod:`repro.topology.compiled`; any other topology
-        falls back to walking ``route_next`` per packet (still one walk
-        up front instead of one call per packet per step).
+        Mesh / linear-array / hypercube / star paths come out of the
+        vectorized builders in :mod:`repro.topology.compiled`; any other
+        topology falls back to walking ``route_next`` per packet (still
+        one walk up front instead of one call per packet per step).
         """
         topo = self.topology
         sources = [p.source for p in packets]
@@ -107,22 +114,25 @@ class GreedyRouter:
         fast = FastPathEngine(
             node_capacity=self.node_capacity, flow_control=self.flow_control
         )
-        kwargs: dict = {}
         if isinstance(topo, Mesh2D):
             plan = compile_mesh(topo).three_stage(sources, dests)
-            paths, kwargs["path_lengths"] = plan.ids, plan.lengths
         elif isinstance(topo, LinearArray):
             plan = linear_paths(sources, dests)
-            paths, kwargs["path_lengths"] = plan.ids, plan.lengths
         elif isinstance(topo, Hypercube):
             plan = hypercube_paths(topo.n, sources, dests)
-            paths, kwargs["path_lengths"] = plan.ids, plan.lengths
+        elif type(topo).route_next is StarGraph.route_next:
+            # The compiled walk is StarGraph.route_next's; a subclass that
+            # overrides the move rule keeps its own per-packet walk below.
+            plan = star_paths(topo, sources, [dests])
         else:
             paths = [topo.greedy_path(p.source, p.dest) for p in packets]
+            return fast.run(
+                packets, paths, num_nodes=topo.num_nodes, max_steps=max_steps
+            )
         return fast.run(
             packets,
-            paths,
+            plan.ids,
             num_nodes=topo.num_nodes,
             max_steps=max_steps,
-            **kwargs,
+            path_lengths=plan.lengths,
         )

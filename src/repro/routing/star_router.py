@@ -22,6 +22,7 @@ from repro.routing.fast_engine import FastPathEngine, resolve_engine_mode
 from repro.routing.metrics import RoutingStats
 from repro.routing.packet import Packet, make_packets
 from repro.routing.queues import fifo_factory
+from repro.topology.compiled import star_paths
 from repro.topology.star import StarGraph
 from repro.util.rng import as_generator
 
@@ -31,9 +32,11 @@ class StarRouter:
 
     Intermediates are pre-drawn and the greedy cycle algorithm is
     deterministic, so each packet's itinerary is known before routing;
-    with ``engine="auto"``/``"fast"`` the itineraries are precompiled and
-    replayed on :class:`~repro.routing.fast_engine.FastPathEngine`,
-    reproducing the reference engine's results exactly.
+    with ``engine="auto"``/``"fast"`` the whole population's itineraries
+    are compiled as arrays (:func:`repro.topology.compiled.star_paths`)
+    and replayed on the vectorized batch mode of
+    :class:`~repro.routing.fast_engine.FastPathEngine`, reproducing the
+    reference engine's results exactly.
     """
 
     def __init__(
@@ -72,33 +75,26 @@ class StarRouter:
         if max_steps is None:
             max_steps = 60 * self.star.diameter + 200
         packets = make_packets(list(map(int, sources)), list(map(int, dests)))
+        inters = None
         if self.randomized:
             inters = self.rng.integers(self.star.num_nodes, size=len(packets))
             for p, r in zip(packets, inters):
                 p.state = int(r)
         if resolve_engine_mode(self.engine_mode) == "fast":
-            return self._run_fast(packets, max_steps)
+            return self._run_fast(packets, inters, max_steps)
         return self.engine.run(packets, self._next_hop, max_steps=max_steps)
 
-    def _run_fast(self, packets, max_steps: int) -> RoutingStats:
-        """Precompute greedy itineraries (via intermediates); replay fast."""
-        route_next = self.star.route_next
-        paths = []
-        for p in packets:
-            cur = p.node
-            path = [cur]
-            inter = p.state
-            if inter is not None:
-                while cur != inter:
-                    cur = route_next(cur, inter)
-                    path.append(cur)
-            while cur != p.dest:
-                cur = route_next(cur, p.dest)
-                path.append(cur)
-            paths.append(path)
-        fast = FastPathEngine()
-        return fast.run(
-            packets, paths, num_nodes=self.star.num_nodes, max_steps=max_steps
+    def _run_fast(self, packets, inters, max_steps: int) -> RoutingStats:
+        """Compile greedy itineraries (via intermediates); replay batched."""
+        dests = [p.dest for p in packets]
+        targets = ([inters] if inters is not None else []) + [dests]
+        plan = star_paths(self.star, [p.node for p in packets], targets)
+        return FastPathEngine().run(
+            packets,
+            plan.ids,
+            num_nodes=self.star.num_nodes,
+            max_steps=max_steps,
+            path_lengths=plan.lengths,
         )
 
     def route_permutation(

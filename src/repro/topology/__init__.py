@@ -27,6 +27,7 @@ from repro.topology.compiled import (
     hypercube_paths,
     linear_paths,
     shuffle_unique_paths,
+    star_paths,
 )
 
 __all__ = [
@@ -50,4 +51,5 @@ __all__ = [
     "hypercube_paths",
     "linear_paths",
     "shuffle_unique_paths",
+    "star_paths",
 ]

@@ -12,8 +12,9 @@ populations' trajectories with a handful of vectorized operations:
   §3.4 (and their furthest-destination-first priorities) plus greedy
   dimension-order paths, as padded matrices + lengths;
 * :func:`linear_paths`, :func:`hypercube_paths`,
-  :func:`shuffle_unique_paths` — the linear array, Valiant–Brebner
-  bit-fixing, and d-way-shuffle digit-insertion itineraries.
+  :func:`shuffle_unique_paths`, :func:`star_paths` — the linear array,
+  Valiant–Brebner bit-fixing, d-way-shuffle digit-insertion, and n-star
+  greedy cycle-algorithm itineraries.
 
 Leveled compilation in detail:
 
@@ -40,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.topology.leveled import LeveledNetwork
+from repro.topology.star import perm_rank_array, perm_unrank_array
 
 
 class CompiledLeveledTopology:
@@ -219,7 +221,7 @@ def compile_leveled(net: LeveledNetwork) -> CompiledLeveledTopology:
 
 # ======================================================================
 # Flat-topology trajectory builders (mesh, linear array, hypercube,
-# shuffle).  These produce padded rectangular matrices: row i repeats
+# shuffle, star).  These produce padded rectangular matrices: row i repeats
 # packet i's destination past position ``lengths[i]``, which the fast
 # engine never traverses (it delivers at ``path_lengths``).  Keeping the
 # matrix rectangular lets one np.unique intern every link at C speed.
@@ -446,3 +448,59 @@ def shuffle_unique_paths(
             cur = cur // d + ((target // d**k) % d) * msb
             columns.append(cur)
     return np.stack(columns, axis=1)
+
+
+def star_paths(
+    star, sources: Sequence[int], targets: "list[Sequence[int]]"
+) -> TrajectoryPlan:
+    """Greedy cycle-algorithm itineraries on the n-star, as a padded plan.
+
+    Each entry of *targets* is one phase (``[inters, dests]`` for the
+    two-phase Valiant route, ``[dests]`` for plain greedy).  Labels are
+    carried as a ``(P, n)`` array: per phase the relative permutation
+    ``rel = dest^{-1} ∘ cur`` is formed once, and every round picks the
+    move of :func:`repro.topology.star.greedy_move_to_identity` for all
+    packets at once, swaps columns 0 and j of both ``cur`` and ``rel``
+    (SWAP_j acts on positions, so ``rel`` stays in step), and re-ranks
+    the packets that moved — exactly :meth:`StarGraph.route_next`'s
+    walk.  The cycle algorithm is minimal, so ``diameter`` rounds finish
+    every phase.
+    """
+    n = star.n
+    ranks = np.asarray(sources, dtype=np.int64)
+    cur = perm_unrank_array(ranks, n)
+    positions = np.broadcast_to(np.arange(n, dtype=np.int64), cur.shape)
+    off_place = np.arange(1, n, dtype=np.int64)
+    columns = [ranks]
+    for target in targets:
+        target = np.asarray(target, dtype=np.int64)
+        inv = np.empty_like(cur)
+        np.put_along_axis(inv, perm_unrank_array(target, n), positions, axis=1)
+        rel = np.take_along_axis(inv, cur, axis=1)
+        for _ in range(star.diameter):
+            front = rel[:, 0]
+            stray = rel[:, 1:] != off_place
+            j = np.where(
+                front != 0,
+                front,
+                np.where(stray.any(axis=1), stray.argmax(axis=1) + 1, 0),
+            )
+            moving = np.flatnonzero(j)
+            if not moving.size:
+                break
+            jm = j[moving]
+            for arr in (cur, rel):
+                head = arr[moving, 0].copy()
+                arr[moving, 0] = arr[moving, jm]
+                arr[moving, jm] = head
+            ranks = ranks.copy()
+            ranks[moving] = perm_rank_array(cur[moving])
+            columns.append(ranks)
+        if not np.array_equal(ranks, target):
+            bad = int(np.flatnonzero(ranks != target)[0])
+            raise RuntimeError(
+                f"packet {bad} stopped at node {int(ranks[bad])} "
+                f"!= target {int(target[bad])}"
+            )
+    ids, lengths = compact_paths(np.stack(columns, axis=1))
+    return TrajectoryPlan(ids, lengths)

@@ -15,6 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from repro.topology.base import Topology
 
 
@@ -51,6 +53,42 @@ def perm_unrank(rank: int, n: int) -> tuple[int, ...]:
         idx, rank = divmod(rank, f)
         out.append(available.pop(idx))
     return tuple(out)
+
+
+def perm_rank_array(perms: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`perm_rank` of a ``(P, n)`` array of permutations.
+
+    Lehmer digit i counts the later symbols smaller than symbol i, so
+    the rank is n-1 vectorized compare-and-count passes.
+    """
+    perms = np.asarray(perms, dtype=np.int64)
+    n = perms.shape[1]
+    fact = _factorials(n)
+    ranks = np.zeros(perms.shape[0], dtype=np.int64)
+    for i in range(n - 1):
+        smaller = (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
+        ranks += smaller * fact[n - 1 - i]
+    return ranks
+
+
+def perm_unrank_array(ranks: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`perm_rank_array`: a ``(P, n)`` array of labels.
+
+    The Lehmer digits are read off with divmods; the permutation is
+    rebuilt right to left, each digit taking its value and bumping every
+    later symbol that is not smaller than it.
+    """
+    fact = _factorials(n)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size and not (0 <= ranks.min() and ranks.max() < fact[n]):
+        raise ValueError(f"ranks out of range [0, {fact[n]})")
+    perms = np.empty((ranks.size, n), dtype=np.int64)
+    for i in range(n):
+        perms[:, i] = (ranks // fact[n - 1 - i]) % (n - i)
+    for i in range(n - 2, -1, -1):
+        suffix = perms[:, i + 1 :]
+        suffix += suffix >= perms[:, i : i + 1]
+    return perms
 
 
 def swap_j(perm: tuple[int, ...], j: int) -> tuple[int, ...]:

@@ -11,7 +11,9 @@ suite pins that contract:
   regressions;
 * mode dispatch: ``engine="fast"`` on a capacity run must take the
   constrained *batch* path (``last_run_mode == "batch-constrained"``),
-  never silently the per-event loop, for routers and emulators alike;
+  never silently the per-event loop, for routers and emulators alike —
+  ragged path lists included (they are padded); only
+  ``node_service_rate`` runs still take the per-event loop;
 * constrained-specific details: staggered injections, combining with
   credits, deadlock parity under ``flow_control="none"``.
 """
@@ -65,10 +67,31 @@ class TestDispatch:
         engine.run(make_packets(range(5), [6] * 5), paths, num_nodes=7, max_steps=50)
         assert engine.last_run_mode == "batch"
 
-    def test_ragged_paths_fall_back_to_event_loop(self):
+    def test_ragged_paths_pad_onto_constrained_batch(self):
+        """Ragged path lists are padded (last node repeated), not sent to
+        the per-event loop, and still match the reference engine."""
+        paths = [[0, 2, 3], [1, 2, 3, 4], [4]]
+
+        def route(p):
+            row = paths[p.pid]
+            return None if p.node == p.dest else row[row.index(p.node) + 1]
+
         engine = FastPathEngine(node_capacity=1)
-        paths = [[0, 2, 3], [1, 2, 3, 4]]
-        engine.run(make_packets([0, 1], [3, 4]), paths, num_nodes=5, max_steps=50)
+        f = engine.run(
+            make_packets([0, 1, 4], [3, 4, 4]), paths, num_nodes=5, max_steps=50
+        )
+        assert engine.last_run_mode == "batch-constrained"
+        r = SynchronousEngine(node_capacity=1).run(
+            make_packets([0, 1, 4], [3, 4, 4]), route, max_steps=50
+        )
+        assert_stats_equal(f, r)
+        assert f.completed
+
+    def test_service_rate_runs_dispatch_event(self):
+        """``node_service_rate`` is the one model the batch modes lack."""
+        engine = FastPathEngine(node_service_rate=1)
+        paths = [[s, 5, 6] for s in range(5)]
+        engine.run(make_packets(range(5), [6] * 5), paths, num_nodes=7, max_steps=50)
         assert engine.last_run_mode == "event"
 
     @pytest.mark.parametrize("flow", ["none", "credit"])

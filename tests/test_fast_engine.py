@@ -279,12 +279,18 @@ class TestMeshStackDifferential:
 
     @pytest.mark.parametrize(
         "topology",
-        [Mesh2D.square(7), LinearArray(40), Hypercube(6), StarGraph(4)],
+        [
+            Mesh2D.square(7),
+            LinearArray(40),
+            Hypercube(6),
+            StarGraph(4),
+            DWayShuffle(3, 3),
+        ],
         ids=lambda t: type(t).__name__,
     )
     def test_greedy_router_matches(self, topology):
         """GreedyRouter fast paths: vectorized builders for mesh, linear
-        array and hypercube; generic route_next walk otherwise."""
+        array, hypercube and star; a padded route_next walk otherwise."""
         rng = np.random.default_rng(12)
         n = topology.num_nodes
         sources = np.arange(n)
@@ -566,6 +572,38 @@ class TestFastPathEngineUnit:
         pkts = make_packets([0], [1])
         with pytest.raises(ValueError):
             FastPathEngine().run(pkts, [], num_nodes=2, max_steps=5)
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError, match="start node"):
+            FastPathEngine().run(
+                make_packets([0, 1], [2, 1]), [[0, 1, 2], []], num_nodes=3,
+                max_steps=5,
+            )
+
+    def test_ragged_paths_with_priorities_match_reference(self):
+        """Ragged path and priority lists are padded onto the batch mode
+        and keep the furthest-first order of the reference engine."""
+        from repro.routing import SynchronousEngine
+        from repro.routing.queues import furthest_first_factory
+
+        sources, dests = [0, 1, 0, 5, 3], [2, 3, 6, 5, 7]
+        paths = [list(range(s, d + 1)) for s, d in zip(sources, dests)]
+        priorities = [[d - v for v in path[:-1]] for path, d in zip(paths, dests)]
+        engine = FastPathEngine()
+        fast = engine.run(
+            make_packets(sources, dests), paths, num_nodes=8, max_steps=50,
+            priorities=priorities,
+        )
+        assert engine.last_run_mode == "batch"
+        ref = SynchronousEngine(
+            queue_factory=furthest_first_factory(lambda p: abs(p.dest - p.node))
+        ).run(
+            make_packets(sources, dests),
+            lambda p: None if p.node == p.dest else p.node + 1,
+            max_steps=50,
+        )
+        assert fast.completed
+        assert_stats_equal(fast, ref)
 
     def test_single_packet_delivers(self):
         pkts = make_packets([0], [1])

@@ -405,3 +405,24 @@ class TestValidation:
             MeshEmulator(Mesh2D.square(4), 16, flow_control="credit")
         with pytest.raises(ValueError):
             LeveledEmulator(DAryButterflyLeveled(2, 3), 16, flow_control="credit")
+
+    @pytest.mark.parametrize("engine_cls", [SynchronousEngine, FastPathEngine])
+    @pytest.mark.parametrize("flow", ["none", "credit"])
+    def test_zero_capacity_rejected_at_construction(self, engine_cls, flow):
+        # Used to be accepted: "none" then raised a DeadlockError at t=1
+        # and "credit" reported a completed run.
+        with pytest.raises(ValueError, match="node_capacity must be >= 1"):
+            engine_cls(node_capacity=0, flow_control=flow)
+
+    @pytest.mark.parametrize("engine_cls", [SynchronousEngine, FastPathEngine])
+    def test_zero_service_rate_rejected_at_construction(self, engine_cls):
+        with pytest.raises(ValueError, match="node_service_rate must be >= 1"):
+            engine_cls(node_service_rate=0)
+
+    def test_routers_and_emulators_reject_zero_capacity(self):
+        with pytest.raises(ValueError, match="node_capacity"):
+            GreedyMeshRouter(Mesh2D.square(4), node_capacity=0)
+        with pytest.raises(ValueError, match="node_capacity"):
+            LeveledRouter(DAryButterflyLeveled(2, 3), node_capacity=0)
+        with pytest.raises(ValueError, match="node_capacity"):
+            MeshEmulator(Mesh2D.square(4), 16, node_capacity=0)
