@@ -18,7 +18,7 @@ benchmarks cannot express:
   ``credits_stalled`` all nonzero.
 
 All scenarios run ``engine="fast"`` and must dispatch every epoch to a
-vectorized batch mode — any ``"event"`` or ``"reference"`` entry in a
+vectorized batch mode — any other entry (e.g. ``"reference"``) in a
 dispatch history fails the run (the no-silent-fallback gate).
 
 Every row is a pure function of its seeds (the generators pre-draw all

@@ -14,9 +14,10 @@ Two reference points from the paper's discussion:
 
 Both baselines pre-draw their random intermediates, so every itinerary
 is known before routing and ``engine="auto" | "fast" | "reference"``
-selects between the reference engine and a compiled replay — including
-the serialized (``node_service_rate=1``) shuffle model, which the fast
-engine arbitrates exactly like the reference one.
+selects between the reference engine and a compiled replay on the fast
+engine's batch mode — including the serialized (``node_service_rate=1``)
+shuffle model, whose per-node slot walk arbitrates exactly like the
+reference engine.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ become one PRAM step, which the emulators route through their
 ``engine="auto"`` dispatch, so online epochs stay on the vectorized
 batch / constrained-batch paths.  The per-epoch dispatch history on the
 report (``run_modes``) lets tests assert that no epoch silently fell
-back to the per-event mode.
+back to the reference engine.
 
 Reproducibility: the workload stream is a pure function of the
 generator's seed and the emulator pre-draws its routing randomness, so

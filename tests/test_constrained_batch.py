@@ -1,19 +1,16 @@
 """The vectorized constrained-batch mode (batch credit accounting).
 
-Capacity-bounded runs on rectangular compiled trajectories used to fall
-back to the fast engine's per-event loop; they now take a vectorized
-batch mode that must stay bit-identical to the reference engine.  This
-suite pins that contract:
+Capacity-bounded runs take a vectorized batch mode that must stay
+bit-identical to the reference engine.  This suite pins that contract:
 
 * differential sweeps over (capacity, flow_control, topology) — mesh
   greedy and 3-stage (priority classes), leveled coin/node (wrap
   aliasing), linear arrays — including the hub-star and crossing-flow
   regressions;
 * mode dispatch: ``engine="fast"`` on a capacity run must take the
-  constrained *batch* path (``last_run_mode == "batch-constrained"``),
-  never silently the per-event loop, for routers and emulators alike —
-  ragged path lists included (they are padded); only
-  ``node_service_rate`` runs still take the per-event loop;
+  constrained *batch* path (``last_run_mode == "batch-constrained"``)
+  for routers and emulators alike — ragged path lists (padded) and
+  ``node_service_rate`` runs included;
 * constrained-specific details: staggered injections, combining with
   credits, deadlock parity under ``flow_control="none"``.
 """
@@ -87,12 +84,25 @@ class TestDispatch:
         assert_stats_equal(f, r)
         assert f.completed
 
-    def test_service_rate_runs_dispatch_event(self):
-        """``node_service_rate`` is the one model the batch modes lack."""
-        engine = FastPathEngine(node_service_rate=1)
+    def test_service_rate_runs_take_batch(self):
+        """``node_service_rate`` runs take the batch modes and match the
+        reference engine on the 5-into-1 fixture."""
         paths = [[s, 5, 6] for s in range(5)]
-        engine.run(make_packets(range(5), [6] * 5), paths, num_nodes=7, max_steps=50)
-        assert engine.last_run_mode == "event"
+
+        def route(p):
+            return None if p.node == 6 else (6 if p.node == 5 else 5)
+
+        for capacity, mode in [(None, "batch"), (1, "batch-constrained")]:
+            engine = FastPathEngine(node_capacity=capacity, node_service_rate=1)
+            f = engine.run(
+                make_packets(range(5), [6] * 5), paths, num_nodes=7, max_steps=50
+            )
+            assert engine.last_run_mode == mode
+            r = SynchronousEngine(
+                node_capacity=capacity, node_service_rate=1
+            ).run(make_packets(range(5), [6] * 5), route, max_steps=50)
+            assert_stats_equal(f, r)
+            assert f.completed
 
     @pytest.mark.parametrize("flow", ["none", "credit"])
     def test_mesh_routers_take_constrained_batch(self, monkeypatch, flow):
